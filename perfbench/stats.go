@@ -1,0 +1,39 @@
+package main
+
+import (
+	"math"
+	"sort"
+)
+
+// quantile returns the q-quantile of xs by linear interpolation
+// between order statistics (q in [0, 1]); NaN for no data.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+func sum(xs []float64) float64 {
+	var t float64
+	for _, x := range xs {
+		t += x
+	}
+	return t
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
