@@ -9,6 +9,7 @@
 //	pgemm-bench -exp real|realmem|realgrid [-procs N]
 //	pgemm-bench -exp overlap [-procs N] [-reps R] [-out BENCH_overlap.json]
 //	pgemm-bench -exp engine [-procs N] [-reps R] [-assert-warm-setup F] [-out BENCH_engine.json]
+//	pgemm-bench -exp runtime [-out BENCH_runtime.json]
 package main
 
 import (
@@ -22,10 +23,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig3 fig4 fig5 table1 table2 table3 lsweep sensitivity weak all real realmem realgrid overlap abft engine")
+	exp := flag.String("exp", "all", "experiment: fig3 fig4 fig5 table1 table2 table3 lsweep sensitivity weak all real realmem realgrid overlap abft engine runtime")
 	procs := flag.Int("procs", 16, "rank count for -exp real/overlap/abft/engine")
 	reps := flag.Int("reps", 3, "timed repetitions for -exp overlap/abft/engine (best kept)")
-	out := flag.String("out", "", "output file for -exp overlap/abft/engine (empty = BENCH_<exp>.json; \"none\" to skip)")
+	out := flag.String("out", "", "output file for -exp overlap/abft/engine/runtime (empty = BENCH_<exp>.json; \"none\" to skip)")
 	assertWarm := flag.Float64("assert-warm-setup", 0, "for -exp engine: fail unless warm-call setup < this fraction of the cold call's (0 = no assertion)")
 	flag.Parse()
 
@@ -70,6 +71,8 @@ func main() {
 		*out = "BENCH_abft.json"
 	} else if *exp == "engine" && *out == "" {
 		*out = "BENCH_engine.json"
+	} else if *exp == "runtime" && *out == "" {
+		*out = "BENCH_runtime.json"
 	}
 	if *exp == "overlap" {
 		run("overlap", func() error { return experiments.RealOverlap(w, *procs, *reps, *out) })
@@ -79,5 +82,8 @@ func main() {
 	}
 	if *exp == "engine" {
 		run("engine", func() error { return enginebench.RealEngine(w, *procs, *reps, *assertWarm, *out) })
+	}
+	if *exp == "runtime" {
+		run("runtime", func() error { return experiments.RealRuntime(w, *out) })
 	}
 }

@@ -177,6 +177,9 @@ type Engine struct {
 
 	statsMu sync.Mutex
 	ranks   []sessionStats
+	// comm is rank 0's world communicator, kept to read the message
+	// path's gauges (nil until rank 0 starts).
+	comm atomic.Pointer[Comm]
 
 	mu     sync.Mutex
 	closed bool
@@ -251,6 +254,9 @@ func (e *Engine) rankLoop(c *Comm) {
 		}()
 		panic(rec)
 	}()
+	if rank == 0 {
+		e.comm.Store(c)
+	}
 	ses := e.plan.newSession(c)
 	for job := range e.jobs[rank] {
 		cur = job
@@ -428,6 +434,10 @@ type EngineStats struct {
 	// ArenaHits/ArenaMisses count buffer arena lookups over all ranks.
 	// Misses stop growing once the shape's buffers reach steady state.
 	ArenaHits, ArenaMisses int64
+	// InboxEntries and QueuedEnvelopes are live gauges of the world's
+	// message path (see mpi.Gauges): both read zero between calls, when
+	// every message a call sent has been received.
+	InboxEntries, QueuedEnvelopes int
 }
 
 // Stats reports the engine's cumulative amortization counters.
@@ -445,6 +455,10 @@ func (e *Engine) Stats() EngineStats {
 		s.ArenaMisses += r.arenaMisses
 	}
 	e.statsMu.Unlock()
+	if c := e.comm.Load(); c != nil {
+		g := c.Gauges()
+		s.InboxEntries, s.QueuedEnvelopes = g.InboxEntries, g.QueuedEnvelopes
+	}
 	return s
 }
 

@@ -53,6 +53,10 @@ type Config struct {
 	// verify per accumulation step, correct a localized single error
 	// in place, recompute the tile locally otherwise.
 	ABFT abft.Options
+	// Arena, when non-nil, supplies the padded C accumulator and the
+	// returned C block, so a persistent caller that gives the block
+	// back to the same arena keeps repeated calls allocation-flat.
+	Arena *mat.Arena
 }
 
 // Timings separates the wall-clock cost of the multiplication into
@@ -89,7 +93,8 @@ func PadBlock(local *mat.Dense, padRows, padCols int) *mat.Dense {
 // of the *padded* uniform partition of A and B (use PadBlock). The
 // returned matrix is the caller's unpadded block of C (balanced
 // ceiling/floor split per Cannon convention: row block i covers rows
-// [i*am, min((i+1)*am, M)) of the panel, where am = ceil(M/S)).
+// [i*am, min((i+1)*am, M)) of the panel, where am = ceil(M/S)). The
+// block is drawn from cfg.Arena when one is set.
 func Multiply(c *mpi.Comm, a, b *mat.Dense, cfg Config) (*mat.Dense, Timings) {
 	var tm Timings
 	s := cfg.S
@@ -105,7 +110,7 @@ func Multiply(c *mpi.Comm, a, b *mat.Dense, cfg Config) (*mat.Dense, Timings) {
 	}
 
 	row, col := c.Rank()/s, c.Rank()%s
-	cPad := mat.New(am, bn)
+	cPad := cfg.Arena.Get(am, bn)
 	g := abft.New(cfg.ABFT, c)
 	defer g.Finish()
 
@@ -277,7 +282,9 @@ func multiplyAggregated(c *mpi.Comm, guard *abft.Guard, curA, curB, cPad *mat.De
 }
 
 // cropC trims the padded C block to the caller's true block of the
-// M x N panel: row block i covers [i*am, min((i+1)*am, M)).
+// M x N panel: row block i covers [i*am, min((i+1)*am, M)). An
+// uncropped block is returned as is; otherwise the crop is copied into
+// a block from cfg.Arena and the padded one goes back to it.
 func cropC(cPad *mat.Dense, cfg Config, row, col int) *mat.Dense {
 	am, _, bn := cfg.BlockShape()
 	r0 := row * am
@@ -290,7 +297,13 @@ func cropC(cPad *mat.Dense, cfg Config, row, col int) *mat.Dense {
 	if cols < 0 {
 		cols = 0
 	}
-	return cPad.View(0, 0, rows, cols).Clone()
+	if rows == cPad.Rows && cols == cPad.Cols {
+		return cPad
+	}
+	out := cfg.Arena.Get(rows, cols)
+	out.CopyFrom(cPad.View(0, 0, rows, cols))
+	cfg.Arena.Put(cPad)
+	return out
 }
 
 // BlockOwned returns the global (within-panel) rectangle of the C

@@ -165,6 +165,7 @@ func (p *Plan) executeCannon(kanComm, repComm, redComm *mpi.Comm,
 		MultiShift: p.Opt.MultiShift,
 		MinKBlock:  p.Opt.MinKBlock,
 		ABFT:       p.Opt.ABFT,
+		Arena:      ar,
 	}
 	am, ak, bn := cfg.BlockShape()
 

@@ -82,6 +82,39 @@ func TestArenaZeroSize(t *testing.T) {
 	}
 }
 
+// TestArenaEmptySlabsHit: an idle rank's zero-size blocks are served
+// without a miss, so its arena reaches steady state on the first call.
+func TestArenaEmptySlabsHit(t *testing.T) {
+	a := NewArena()
+	for i := 0; i < 3; i++ {
+		if s := a.GetSlice(0); s == nil || len(s) != 0 {
+			t.Fatalf("GetSlice(0) = %v, want an empty non-nil slice", s)
+		}
+		a.Put(a.Get(0, 7))
+	}
+	if hits, misses := a.Stats(); misses != 0 || hits != 6 {
+		t.Fatalf("stats %d/%d, want 6 hits and 0 misses", hits, misses)
+	}
+}
+
+// TestArenaRefusesForeignSlabs: the arena only takes back what it
+// handed out, so returning caller-built buffers cannot grow it.
+func TestArenaRefusesForeignSlabs(t *testing.T) {
+	a := NewArena()
+	for i := 0; i < 10; i++ {
+		a.Put(New(4, 4))
+	}
+	if n := len(a.free[16]); n != 0 {
+		t.Fatalf("%d foreign slabs pooled, want 0", n)
+	}
+	s := a.GetSlice(16)
+	a.PutSlice(s)
+	a.PutSlice(make([]float64, 16)) // one more than was lent
+	if n := len(a.free[16]); n != 1 {
+		t.Fatalf("%d slabs pooled after one loan, want 1", n)
+	}
+}
+
 // TestGemmSteadyStateAllocFree pins the allocation-flat property of the
 // local compute engine: with operands and destination preallocated,
 // repeated Gemm calls allocate nothing — the pack buffers come from the

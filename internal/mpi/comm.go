@@ -18,10 +18,18 @@ const Undefined = -1
 // tags; tags at or above it are reserved for collectives.
 const maxUserTag = 1 << 20
 
-// collTagWindow bounds the number of distinct collective tags, keeping
-// the router map small during long runs. Collectives within one
-// communicator are ordered, so reuse this far apart is safe.
+// collTagWindow is the number of distinct collective tags a
+// communicator cycles through. Blocking collectives within one
+// communicator complete in order, so reuse this far apart is safe; the
+// only way to reach back a full window is to leave nonblocking
+// collectives un-Waited, and a reservation that would reuse a tag an
+// in-flight request still holds aborts with ErrTagAlias.
 const collTagWindow = 1 << 12
+
+// ErrTagAlias reports runtime misuse: more than collTagWindow
+// collective tags reserved on one communicator while the oldest
+// nonblocking collective holding one is still in flight.
+var ErrTagAlias = errors.New("mpi: collective tag window exhausted by in-flight requests")
 
 // revocation is the shared revoked-flag of one communicator epoch:
 // the world communicator and every Shrink result get a fresh one, and
@@ -66,6 +74,10 @@ type Comm struct {
 	obs        *obs.Recorder // nil when observability is off
 	epoch      int           // causal epoch: 0 for the world, bumped by Shrink
 	async      bool          // clone driven by a background goroutine, not the rank owner
+	// collHeld lists this rank's nonblocking collectives on the
+	// communicator in initiation order; the oldest unreleased one pins
+	// the start of the usable tag window.
+	collHeld []*collPending
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -137,8 +149,8 @@ func (w *world) peerSentinel(worldRank int) error {
 // deliver routes one outgoing message: the reliable transport (when
 // on) sequences it and arms its retransmit loop, the fault hook may
 // corrupt, duplicate, stash, delay, drop, or crash on it; whatever
-// envelopes remain are enqueued into the destination mailbox. The
-// caller must own data.
+// envelopes remain are put into the destination's inbox. The caller
+// must own data.
 func (c *Comm) deliver(op string, dst, tag int, data []float64) {
 	c.checkSelfAlive()
 	key := boxKey{ctx: c.ctx, src: c.worldRank, dst: c.ranks[dst], tag: tag}
@@ -156,8 +168,12 @@ func (c *Comm) deliver(op string, dst, tag int, data []float64) {
 		// stash, or crash is then still covered by retransmission.
 		tr.register(key, op, &env)
 	}
-	for _, e := range c.event(op, key, env, true) {
-		c.enqueue(op, dst, key, e)
+	if c.inj == nil {
+		c.enqueue(op, dst, key, env)
+	} else {
+		for _, e := range c.event(op, key, env, true) {
+			c.enqueue(op, dst, key, e)
+		}
 	}
 	// The send edge is recorded after the fault hook and the enqueue,
 	// so its timestamp reflects when the message actually entered the
@@ -170,11 +186,12 @@ func (c *Comm) deliver(op string, dst, tag int, data []float64) {
 	c.stats.addOp(op, int64(8*len(data)))
 }
 
-// enqueue blocks until the destination mailbox accepts env, failing
-// fast when the destination rank is dead or the epoch is revoked. A
-// message crossing an active partition is black-holed: the sender does
-// not block (the fabric accepted it), the payload just never arrives —
-// until a retransmit loop redelivers it after the heal.
+// enqueue puts env into the destination's inbox, blocking while the
+// link is at ChanCap and failing fast when the destination rank is
+// dead or the epoch is revoked. A message crossing an active partition
+// is black-holed: the sender does not block (the fabric accepted it),
+// the payload just never arrives — until a retransmit loop redelivers
+// it after the heal.
 func (c *Comm) enqueue(op string, dst int, key boxKey, env envelope) {
 	if c.w.isDead(key.dst) {
 		c.abort(c.opError(op, "send", dst, c.w.peerSentinel(key.dst)))
@@ -188,27 +205,23 @@ func (c *Comm) enqueue(op string, dst int, key boxKey, env envelope) {
 		}
 		return
 	}
-	box := c.w.box(key)
-	// Fast path: an uncontended mailbox accepts without arming a
-	// timeout. A `case <-time.After(...)` arm would allocate a
-	// run-timeout timer on EVERY send — abandoned timers that pile up
-	// in the runtime timer heap for the rest of the run and throttle
-	// tight iterative loops with GC pressure.
-	select {
-	case box <- env:
+	full := c.w.put(key, env)
+	if full == nil {
 		return
-	default:
 	}
-	t := time.NewTimer(c.timeout)
-	defer t.Stop()
-	select {
-	case box <- env:
-	case <-c.w.deadChan(key.dst):
-		c.abort(c.opError(op, "send", dst, c.w.peerSentinel(key.dst)))
-	case <-c.rv.ch:
-		c.abort(c.opError(op, "send", dst, ErrRevoked))
-	case <-t.C:
-		c.abort(c.opError(op, "send", dst, ErrTimeout))
+	t := getTimer(c.timeout)
+	defer putTimer(t)
+	for full != nil {
+		select {
+		case <-full:
+		case <-c.w.deadChan(key.dst):
+			c.abort(c.opError(op, "send", dst, c.w.peerSentinel(key.dst)))
+		case <-c.rv.ch:
+			c.abort(c.opError(op, "send", dst, ErrRevoked))
+		case <-t.C:
+			c.abort(c.opError(op, "send", dst, ErrTimeout))
+		}
+		full = c.w.put(key, env)
 	}
 }
 
@@ -221,56 +234,75 @@ func (c *Comm) enqueue(op string, dst int, key boxKey, env envelope) {
 // the caller sees each message exactly once, in send order.
 func (c *Comm) receive(op string, src, tag int) []float64 {
 	c.checkSelfAlive()
-	key := boxKey{ctx: c.ctx, src: c.ranks[src], dst: c.worldRank, tag: tag}
-	c.event(op, key, envelope{}, false)
-	ch := c.w.box(key)
-	accept := func(e envelope) []float64 {
-		c.obsRecvEdge(op, key.src, e)
-		c.stats.BytesRecv += int64(8 * len(e.data))
-		c.stats.MsgsRecv++
-		c.stats.addOpRecv(op, int64(8*len(e.data)))
-		return e.data
-	}
+	cl := claim{key: boxKey{ctx: c.ctx, src: c.ranks[src], dst: c.worldRank, tag: tag}}
+	c.event(op, cl.key, envelope{}, false)
+	e := c.complete(op, src, &cl)
+	c.obsRecvEdge(op, cl.key.src, e)
+	c.countRecv(op, e)
+	return e.data
+}
+
+// countRecv adds one received message to the rank's statistics.
+func (c *Comm) countRecv(op string, e envelope) {
+	c.stats.BytesRecv += int64(8 * len(e.data))
+	c.stats.MsgsRecv++
+	c.stats.addOpRecv(op, int64(8*len(e.data)))
+}
+
+// complete finishes a receive on cl's link: it releases a message the
+// transport parked in sequence, or awaits the next envelope — taking
+// cl's existing claim first — and lets the transport admit it. A claim
+// left over when the parked message wins is withdrawn; if a sender
+// already filled it, its envelope is parked for the link's next
+// receive rather than lost.
+func (c *Comm) complete(op string, src int, cl *claim) envelope {
 	for {
-		if e, ok := c.w.nextBuffered(key); ok {
-			return accept(e)
+		if e, ok := c.w.nextBuffered(cl.key); ok {
+			c.w.withdraw(cl)
+			if cl.have {
+				c.w.admitSeq(cl.key, cl.pop(), op, true)
+			}
+			return e
 		}
-		var env envelope
-		// Fast path: a message already in the mailbox is taken without
-		// arming a timeout (see enqueue for why the timer matters).
-		select {
-		case env = <-ch:
-		default:
-			env = c.recvSlow(op, src, key, ch)
-		}
-		if e, ok := c.w.admitSeq(key, env, op); ok {
-			return accept(e)
+		if e, ok := c.w.admitSeq(cl.key, c.await(op, src, cl), op, false); ok {
+			return e
 		}
 	}
 }
 
-// recvSlow blocks for the next envelope from key's mailbox with a
-// stoppable timeout timer, so that only genuinely blocking receives pay
-// for (and then release) a timer.
-func (c *Comm) recvSlow(op string, src int, key boxKey, ch chan envelope) envelope {
-	t := time.NewTimer(c.timeout)
-	defer t.Stop()
-	select {
-	case env := <-ch:
-		return env
-	case <-c.w.deadChan(key.src):
-		// The sender may have enqueued this message before dying.
-		select {
-		case env := <-ch:
-			return env
-		default:
-			c.abort(c.opError(op, "recv", src, c.w.peerSentinel(key.src)))
-		}
-	case <-c.rv.ch:
-		c.abort(c.opError(op, "recv", src, ErrRevoked))
-	case <-t.C:
-		c.abort(c.opError(op, "recv", src, ErrTimeout))
+// await returns the next envelope on cl's link, taking it from the
+// queue or posting cl and sleeping until a sender fills it, the sender
+// dies, the epoch is revoked, or the run timeout expires. A claim a
+// sender filled wins over every failure arm: the sender may have
+// enqueued the message before dying.
+func (c *Comm) await(op string, src int, cl *claim) envelope {
+	if !cl.have && cl.slot == nil {
+		c.w.take(cl)
 	}
+	// Fast path: a queued or already matched envelope is taken without
+	// arming a timeout.
+	if cl.ready() {
+		return cl.pop()
+	}
+	t := getTimer(c.timeout)
+	defer putTimer(t)
+	var sentinel error
+	select {
+	case env := <-cl.slot:
+		slotPool.Put(cl.slot)
+		cl.slot = nil
+		return env
+	case <-c.w.deadChan(cl.key.src):
+		sentinel = c.w.peerSentinel(cl.key.src)
+	case <-c.rv.ch:
+		sentinel = ErrRevoked
+	case <-t.C:
+		sentinel = ErrTimeout
+	}
+	if c.w.withdraw(cl); cl.have {
+		return cl.pop()
+	}
+	c.abort(c.opError(op, "recv", src, sentinel))
 	panic("unreachable: abort always panics")
 }
 
@@ -340,13 +372,39 @@ func (c *Comm) enterColl(op string) {
 	c.event(op, boxKey{}, envelope{}, false)
 }
 
-// nextCollTag reserves the tag pair used by the next collective. All
+// nextCollTag reserves the tag used by the next collective. All
 // members call collectives in the same order, so the sequence numbers
 // agree across ranks.
 func (c *Comm) nextCollTag() int {
-	tag := maxUserTag + c.collSeq%collTagWindow
-	c.collSeq++
-	return tag
+	return maxUserTag + c.reserveCollTags(1)%collTagWindow
+}
+
+// reserveCollTags advances the collective sequence by n and returns the
+// first reserved sequence number. Tags repeat every collTagWindow
+// sequence numbers, so a reservation ending more than a window past the
+// oldest sequence an in-flight nonblocking collective holds would give
+// two live collectives the same tag: that is a misuse abort.
+func (c *Comm) reserveCollTags(n int) int {
+	c.pruneCollHeld()
+	if len(c.collHeld) > 0 {
+		if oldest := c.collHeld[0].cseq; c.collSeq+n-oldest > collTagWindow {
+			c.w.fail(fmt.Errorf("mpi: rank %d (comm %q): collective #%d would reuse the tag of in-flight %s #%d (Wait it first): %w",
+				c.rank, c.ctx, c.collSeq+n-1, c.collHeld[0].op, oldest, ErrTagAlias))
+		}
+	}
+	seq := c.collSeq
+	c.collSeq += n
+	return seq
+}
+
+// pruneCollHeld drops the requests that no longer hold their tags
+// from the head of collHeld; the window is measured from the oldest
+// request still holding.
+func (c *Comm) pruneCollHeld() {
+	for len(c.collHeld) > 0 && !c.collHeld[0].holdsTags() {
+		c.collHeld[0] = nil
+		c.collHeld = c.collHeld[1:]
+	}
 }
 
 // csend and crecv are the collective-internal message primitives; they

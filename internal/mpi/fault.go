@@ -435,12 +435,15 @@ func (p *FaultPlan) needsDetector() bool {
 // rule fires.
 func (c *Comm) event(op string, key boxKey, env envelope, send bool) []envelope {
 	in := c.inj
-	out := []envelope{env}
-	if !send {
-		out = nil
-	}
 	if in == nil {
-		return out
+		if !send {
+			return nil
+		}
+		return []envelope{env}
+	}
+	var out []envelope
+	if send {
+		out = []envelope{env}
 	}
 	// The lock covers the whole decision (and any injected sleep): a
 	// FaultCrash panic still unlocks via the defer, and serializing a
@@ -454,7 +457,7 @@ func (c *Comm) event(op string, key boxKey, env envelope, send bool) []envelope 
 		time.Sleep(in.slow)
 	}
 	// A stashed reordered message may only wait for the very next send
-	// to the same mailbox. Before any other event — including a receive
+	// on the same link. Before any other event — including a receive
 	// this rank could block on forever — flush it, or the stash turns a
 	// benign reordering into a deadlock.
 	if in.hasPending && !(send && key == in.pendingKey) {
@@ -554,8 +557,8 @@ func (c *Comm) releasePending(key boxKey, out []envelope) []envelope {
 	if in == nil || !in.hasPending || out == nil {
 		return out
 	}
-	// Only swap within the same mailbox: cross-box ordering is
-	// unobservable, and flushing into a different box here would
+	// Only swap within the same link: cross-link ordering is
+	// unobservable, and flushing into a different link here would
 	// misroute the stashed payload.
 	if key != in.pendingKey {
 		return out
@@ -567,12 +570,10 @@ func (c *Comm) releasePending(key boxKey, out []envelope) []envelope {
 }
 
 // flushStash delivers the stashed reordered message now, falling back
-// to an async delivery if the box is momentarily full.
+// to an async delivery if its link is momentarily full.
 func (c *Comm) flushStash() {
 	in := c.inj
-	select {
-	case c.w.box(in.pendingKey) <- in.pending:
-	default:
+	if c.w.put(in.pendingKey, in.pending) != nil {
 		c.deliverAfter(in.pendingOp, in.pendingKey, in.pending, 0)
 	}
 	in.hasPending = false
@@ -580,9 +581,9 @@ func (c *Comm) flushStash() {
 }
 
 // flush delivers a still-stashed reordered message best-effort when
-// the rank finishes. An unsequenced payload that finds the box full is
-// lost — and recorded as such; a sequenced one is still covered by its
-// retransmit loop.
+// the rank finishes. An unsequenced payload that finds its link full
+// is lost — and recorded as such; a sequenced one is still covered by
+// its retransmit loop.
 func (in *injector) flush(w *world) {
 	if in == nil {
 		return
@@ -592,22 +593,18 @@ func (in *injector) flush(w *world) {
 	if !in.hasPending {
 		return
 	}
-	select {
-	case w.box(in.pendingKey) <- in.pending:
-	default:
-		if in.pending.seq == 0 {
-			w.noteLost(in.pendingKey.src, in.pendingOp, "rank exited with reorder stash against a full mailbox")
-		}
+	if w.put(in.pendingKey, in.pending) != nil && in.pending.seq == 0 {
+		w.noteLost(in.pendingKey.src, in.pendingOp, "rank exited with reorder stash against a full link")
 	}
 	in.hasPending = false
 	in.pending = envelope{}
 }
 
-// deliverAfter enqueues env into key's box after d. The goroutine is
-// joined at run shutdown, and an abandoned delivery — destination box
-// still full at the run timeout or at shutdown — is recorded as a lost
-// message instead of silently vanishing (unless the destination died,
-// which makes the payload moot, or the envelope is sequenced and thus
+// deliverAfter puts env into key's link after d. The goroutine is
+// joined at run shutdown, and an abandoned delivery — link still full
+// at the run timeout or at shutdown — is recorded as a lost message
+// instead of silently vanishing (unless the destination died, which
+// makes the payload moot, or the envelope is sequenced and thus
 // covered by its retransmit loop).
 func (c *Comm) deliverAfter(op string, key boxKey, env envelope, d time.Duration) {
 	w, timeout := c.w, c.timeout
@@ -624,16 +621,28 @@ func (c *Comm) deliverAfter(op string, key boxKey, env envelope, d time.Duration
 			}
 			return
 		}
-		select {
-		case w.box(key) <- env:
-		case <-w.deadChan(key.dst):
-		case <-w.shutdown:
-			if env.seq == 0 {
-				w.noteLost(key.src, op, "run ended before delayed delivery")
-			}
-		case <-time.After(timeout):
-			if env.seq == 0 {
-				w.noteLost(key.src, op, "mailbox full past run timeout")
+		full := w.put(key, env)
+		if full == nil {
+			return
+		}
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		for full != nil {
+			select {
+			case <-full:
+				full = w.put(key, env)
+			case <-w.deadChan(key.dst):
+				return
+			case <-w.shutdown:
+				if env.seq == 0 {
+					w.noteLost(key.src, op, "run ended before delayed delivery")
+				}
+				return
+			case <-t.C:
+				if env.seq == 0 {
+					w.noteLost(key.src, op, "link full past run timeout")
+				}
+				return
 			}
 		}
 	}()

@@ -31,6 +31,17 @@ type collPending struct {
 	cseq  int
 	peers int
 	res   chan collResult
+	// waited and cancelled record how the owner let go of the request
+	// (see holdsTags).
+	waited, cancelled bool
+}
+
+// holdsTags reports whether the request's body may still use its
+// collective tags: until Wait joins it or, after Cancel, until the body
+// has finished (its result is buffered in res, which nobody reads after
+// Cancel).
+func (cp *collPending) holdsTags() bool {
+	return !cp.waited && !(cp.cancelled && len(cp.res) > 0)
 }
 
 // collResult is the outcome of an async collective body.
@@ -42,7 +53,9 @@ type collResult struct {
 
 // iStart launches body on a clone of c and returns its Request. tags is
 // the number of collective tags the blocking form consumes at this
-// communicator size.
+// communicator size; the request holds them until Wait, or until its
+// body finishes after Cancel, and a reservation that would reuse a held tag aborts the rank with
+// ErrTagAlias instead of mixing two collectives' messages.
 func (c *Comm) iStart(op string, peers, tags int, body func(*Comm) []float64) *Request {
 	c.checkSelfAlive()
 	r := &Request{c: c, isRecv: true, coll: &collPending{
@@ -64,7 +77,9 @@ func (c *Comm) iStart(op string, peers, tags int, body func(*Comm) []float64) *R
 	*cc = *c
 	cc.stats = &Stats{}
 	cc.async = true
-	c.collSeq += tags
+	cc.collHeld = nil
+	c.reserveCollTags(tags)
+	c.collHeld = append(c.collHeld, r.coll)
 	w := c.w
 	cp := r.coll
 	w.asyncWG.Add(1)

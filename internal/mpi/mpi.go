@@ -2,7 +2,8 @@
 // MPI plays in the reference CA3DMM implementation.
 //
 // Each "process" (rank) is a goroutine; point-to-point messages are
-// tagged float64 payloads routed over channels; communicators can be
+// tagged float64 payloads matched against posted receives in the
+// destination rank's inbox (see inbox.go); communicators can be
 // split into subgroups exactly like MPI_Comm_split; and the collective
 // operations CA3DMM and its baselines need (broadcast, allgather(v),
 // reduce-scatter, allreduce, alltoallv, barrier) are implemented with
@@ -34,10 +35,13 @@ type Options struct {
 	// run is aborted with a deadlock diagnostic. Zero means a default
 	// of 60 seconds.
 	Timeout time.Duration
-	// ChanCap is the per-(sender,receiver,tag) message queue capacity.
-	// Zero means a default of 256. Sends block only when a queue is
-	// full, which for the algorithms in this repository indicates a
-	// schedule bug; blocked sends are subject to Timeout too.
+	// ChanCap bounds the messages one (sender, receiver, tag) link may
+	// hold sent but not yet received. Zero means a default of 256. A
+	// send blocks only when its link is full, which for the algorithms
+	// in this repository indicates a schedule bug; blocked sends are
+	// subject to Timeout too. The bound costs nothing up front: a link's
+	// queue exists only while it holds messages or posted receives (see
+	// inbox.go).
 	ChanCap int
 	// Fault attaches a deterministic fault-injection plan to the run;
 	// nil injects nothing. See FaultPlan.
@@ -69,14 +73,13 @@ const (
 	defaultChanCap = 256
 )
 
-// world is the shared state of one Run: the message router, the
+// world is the shared state of one Run: the per-rank inboxes, the
 // per-rank statistics, and the fault-tolerance state (dead-rank set,
 // agreement rendezvous, checkpoint store).
 type world struct {
 	size    int
 	opt     Options
-	mu      sync.Mutex
-	boxes   map[boxKey]chan envelope
+	inboxes []inbox // indexed by destination world rank
 	stats   []Stats
 	failMu  sync.Mutex
 	failure error
@@ -100,8 +103,8 @@ type world struct {
 	det      *detector
 	shutdown chan struct{}
 	netWG    sync.WaitGroup
-	// asyncWG joins the background goroutines of nonblocking operations
-	// (Irecv claims, I-collective bodies). They are joined before
+	// asyncWG joins the background goroutines of nonblocking
+	// collectives (I-collective bodies). They are joined before
 	// shutdown closes — after revoking every epoch, so an abandoned
 	// request cannot block the join — because their communication may
 	// still arm netWG-tracked work (retransmit registration, delayed
@@ -215,21 +218,12 @@ func (w *world) fail(err error) {
 	panic(runAbort{err})
 }
 
+// boxKey names one link: the messages of one communicator context
+// from src to dst under one tag, delivered in send order.
 type boxKey struct {
 	ctx      string
 	src, dst int // world ranks
 	tag      int
-}
-
-func (w *world) box(k boxKey) chan envelope {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ch, ok := w.boxes[k]
-	if !ok {
-		ch = make(chan envelope, w.opt.ChanCap)
-		w.boxes[k] = ch
-	}
-	return ch
 }
 
 // runAbort wraps an unrecoverable error (runtime misuse, programming
@@ -294,9 +288,12 @@ func PanicCause(rec any) error {
 }
 
 // Report holds the outcome of a Run: per-rank communication
-// statistics indexed by world rank.
+// statistics indexed by world rank, and the message path's resources
+// still held when the run ended (messages nobody received, receives
+// nobody matched).
 type Report struct {
-	Ranks []Stats
+	Ranks  []Stats
+	Gauges Gauges
 }
 
 // MaxBytesSent returns the maximum number of bytes sent by any rank,
@@ -393,7 +390,7 @@ func RunOpt(p int, opt Options, fn func(*Comm)) (*Report, error) {
 	w := &world{
 		size:          p,
 		opt:           opt,
-		boxes:         make(map[boxKey]chan envelope),
+		inboxes:       make([]inbox, p),
 		stats:         make([]Stats, p),
 		deadCh:        make([]atomic.Pointer[chan struct{}], p),
 		deadCause:     make([]error, p),
@@ -411,6 +408,9 @@ func RunOpt(p int, opt Options, fn func(*Comm)) (*Report, error) {
 		causalSeq:     make([]atomic.Uint64, p),
 	}
 	w.ftCond = sync.NewCond(&w.ftMu)
+	for r := range w.inboxes {
+		w.inboxes[r].entries = make(map[boxKey]*entry)
+	}
 	for r := range w.deadCh {
 		ch := make(chan struct{})
 		w.deadCh[r].Store(&ch)
@@ -518,10 +518,11 @@ func RunOpt(p int, opt Options, fn func(*Comm)) (*Report, error) {
 		}(r)
 	}
 	wg.Wait()
-	// Drain nonblocking operations abandoned without a Wait (a consumer
-	// that unwound mid-prefetch): revoking every epoch wakes their
-	// blocked claims, and the join guarantees no request goroutine is
-	// still running — or about to arm more background work — below.
+	// Drain nonblocking collectives abandoned without a Wait (a
+	// consumer that unwound mid-prefetch): revoking every epoch wakes
+	// their blocked bodies, and the join guarantees no request
+	// goroutine is still running — or about to arm more background
+	// work — below.
 	w.revokeAll()
 	w.asyncWG.Wait()
 	// Join every background goroutine (retransmit loops, probers,
@@ -565,7 +566,7 @@ func (w *world) finish(errs []error) (*Report, error) {
 		first = all[0]
 	}
 	if first == nil {
-		return &Report{Ranks: w.stats}, nil
+		return &Report{Ranks: w.stats, Gauges: w.gauges()}, nil
 	}
 	var secondary []error
 	seenFirst := false

@@ -16,9 +16,10 @@ type Request struct {
 	c      *Comm
 	isRecv bool
 	done   bool
-	// receive plumbing
-	payload chan irecvResult
-	src     int
+	// receive plumbing: the claim posted in the destination's inbox at
+	// Irecv, completed on the owner's goroutine at Wait.
+	cl  claim
+	src int
 	// overlap-window bookkeeping: the obs-clock reading at initiation,
 	// recorded at Wait as the span during which the operation could
 	// proceed behind the rank's other work.
@@ -26,18 +27,6 @@ type Request struct {
 	hasInit bool
 	// coll is non-nil for nonblocking collectives (see icoll.go).
 	coll *collPending
-}
-
-// irecvResult carries the outcome of a background receive to Wait;
-// sentinel is nil on success and names the failure mode otherwise. env
-// preserves the causal stamp and arrival the obs-clock acceptance
-// time, so Wait can record the recv edge on the owner's shard at the
-// moment the message actually arrived rather than when Wait ran.
-type irecvResult struct {
-	data     []float64
-	env      envelope
-	arrival  time.Duration
-	sentinel error
 }
 
 // Isend starts a nonblocking send. In this runtime sends are eager
@@ -48,82 +37,23 @@ func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 	return &Request{c: c}
 }
 
-// Irecv starts a nonblocking receive from src with the given tag. The
-// message is claimed in the background; call Wait to obtain it.
+// Irecv posts a nonblocking receive from src with the given tag and
+// returns at once: a message already queued on the link is claimed
+// now, otherwise the receive waits in the inbox for the sender to fill
+// it. No goroutine runs on the request's behalf; call Wait to obtain
+// the payload.
 func (c *Comm) Irecv(src, tag int) *Request {
 	c.checkSelfAlive()
 	c.checkPeer(src, "Irecv")
 	c.checkTag(tag)
 	c.event("p2p", boxKey{}, envelope{}, false)
-	r := &Request{c: c, isRecv: true, payload: make(chan irecvResult, 1), src: src}
+	r := &Request{c: c, isRecv: true, src: src}
 	if c.obs != nil {
 		r.initObs = c.obs.Since()
 		r.hasInit = true
 	}
-	key := boxKey{ctx: c.ctx, src: c.ranks[src], dst: c.worldRank, tag: tag}
-	w := c.w
-	box := w.box(key)
-	timeout := c.timeout
-	deadCh := w.deadChan(key.src)
-	rvCh := c.rv.ch
-	// The background goroutine only moves the payload (suppressing
-	// sequenced duplicates and restoring send order like a blocking
-	// receive would); statistics are recorded in the owning rank's
-	// goroutine inside Wait, keeping the per-rank Stats single-writer.
-	// It is joined at run end via asyncWG: every arm of its select is
-	// woken by the pre-join revocation, so an abandoned claim cannot
-	// leak past the run.
-	obs := c.obs
-	arrive := func() time.Duration {
-		if obs == nil {
-			return 0
-		}
-		return obs.Since()
-	}
-	w.asyncWG.Add(1)
-	go func() {
-		defer w.asyncWG.Done()
-		for {
-			if env, ok := w.nextBuffered(key); ok {
-				r.payload <- irecvResult{data: env.data, env: env, arrival: arrive()}
-				return
-			}
-			var env envelope
-			// Fast path first: a buffered arrival must not arm a
-			// run-timeout timer (abandoned timers accumulate in the
-			// runtime timer heap across an iterative run).
-			select {
-			case env = <-box:
-			default:
-				t := time.NewTimer(timeout)
-				select {
-				case env = <-box:
-				case <-deadCh:
-					// The sender may have enqueued the message before
-					// dying.
-					select {
-					case env = <-box:
-					default:
-						t.Stop()
-						r.payload <- irecvResult{sentinel: w.peerSentinel(key.src)}
-						return
-					}
-				case <-rvCh:
-					t.Stop()
-					r.payload <- irecvResult{sentinel: ErrRevoked}
-					return
-				case <-t.C:
-					r.payload <- irecvResult{sentinel: ErrTimeout}
-					return
-				}
-				t.Stop()
-			}
-			if acc, ok := w.admitSeq(key, env, "p2p"); ok {
-				r.payload <- irecvResult{data: acc.data, env: acc, arrival: arrive()}
-				return
-			}
-		}
-	}()
+	r.cl.key = boxKey{ctx: c.ctx, src: c.ranks[src], dst: c.worldRank, tag: tag}
+	c.w.take(&r.cl)
 	return r
 }
 
@@ -153,16 +83,14 @@ func (r *Request) Wait() []float64 {
 		return nil
 	}
 	r.recordOverlap("p2p")
-	defer r.c.commEnd(r.c.commBegin("p2p", 1))
-	res := <-r.payload
-	if res.sentinel != nil {
-		r.c.abort(r.c.opError("p2p", "irecv", r.src, res.sentinel))
-	}
-	r.c.obsRecvEdgeAt("p2p", r.c.ranks[r.src], res.env, res.arrival)
-	r.c.stats.BytesRecv += int64(8 * len(res.data))
-	r.c.stats.MsgsRecv++
-	r.c.stats.addOpRecv("p2p", int64(8*len(res.data)))
-	return res.data
+	c := r.c
+	defer c.commEnd(c.commBegin("p2p", 1))
+	e := c.complete("p2p", r.src, &r.cl)
+	// The edge carries the time the message became available to this
+	// receive: its arrival, or the posting if it was already queued.
+	c.obsRecvEdgeAt("p2p", r.cl.key.src, e, max(e.at, r.initObs))
+	c.countRecv("p2p", e)
+	return e.data
 }
 
 // waitColl joins an async collective body: fold its private statistics
@@ -185,6 +113,8 @@ func (r *Request) waitColl() []float64 {
 	}
 	defer r.c.commEnd(t)
 	res := <-cp.res
+	cp.waited = true
+	r.c.pruneCollHeld()
 	if res.stats != nil {
 		r.c.stats.fold(res.stats)
 	}
@@ -195,12 +125,30 @@ func (r *Request) waitColl() []float64 {
 }
 
 // Cancel abandons a request the caller will never Wait on (e.g. the
-// sibling of a prefetch whose partner already aborted). The in-flight
-// background claim keeps running; it is woken by the next revocation at
-// the latest and joined before Run returns, and its result and private
-// statistics are discarded.
+// sibling of a prefetch whose partner already aborted). A receive still
+// posted is withdrawn from the inbox; a message already matched to it
+// is acknowledged to the transport and discarded. A nonblocking
+// collective's body keeps running — it is woken by the next revocation
+// at the latest and joined before Run returns — and holds its
+// collective tags until it finishes; its result and private statistics
+// are discarded. Cancel after Wait is a no-op.
 func (r *Request) Cancel() {
+	if r.done {
+		return
+	}
 	r.done = true
+	if r.coll != nil {
+		// The body still uses its tags: they stay reserved until it
+		// finishes (see collPending.holdsTags).
+		r.coll.cancelled = true
+		return
+	}
+	if r.isRecv {
+		r.c.w.withdraw(&r.cl)
+		if r.cl.have {
+			r.c.w.admitSeq(r.cl.key, r.cl.pop(), "p2p", false)
+		}
+	}
 }
 
 // WaitAll completes a set of requests in order, returning the payloads

@@ -68,7 +68,7 @@ type NetStats struct {
 	// injected FaultDuplicate copies (receiver side).
 	DupDrops int64
 	// Lost counts messages the raw fabric abandoned with no delivery:
-	// delayed payloads that timed out against a full mailbox, or
+	// delayed payloads that timed out against a full link, or
 	// unsequenced traffic black-holed by a partition.
 	Lost int64
 	// Unreachable counts retransmit-budget exhaustions against a peer

@@ -8,18 +8,18 @@ import (
 )
 
 // This file is the reliable-delivery transport of the runtime. The raw
-// fabric (Go channels) never loses a message, so the base runtime can
-// treat every enqueue as delivered; FaultDrop and FaultPartition break
-// that assumption. When a plan contains either kind — or when
-// Options.Reliable is set explicitly — the router switches to
+// fabric (the per-rank inboxes) never loses a message, so the base
+// runtime can treat every enqueue as delivered; FaultDrop and
+// FaultPartition break that assumption. When a plan contains either
+// kind — or when Options.Reliable is set explicitly — the router switches to
 // sequence-numbered delivery: each message on a (comm, src, dst, tag)
 // link carries a per-link sequence number, the receiver acknowledges it
-// on dequeue, and the sender retransmits unacknowledged payloads on a
-// timeout with exponential backoff and jitter. Duplicates (retransmitted
-// copies racing the original, or injected FaultDuplicate copies) are
-// suppressed by the receiver's sequence window. A bounded retransmit
-// budget keeps a dead or permanently partitioned peer from being retried
-// forever: exhaustion surfaces as ErrUnreachable (wrapping
+// when a receive takes it from the inbox, and the sender retransmits
+// unacknowledged payloads on a timeout with exponential backoff and
+// jitter. Duplicates (retransmitted copies racing the original, or
+// injected FaultDuplicate copies) are suppressed by the receiver's
+// sequence window. A bounded retransmit budget keeps a dead or
+// permanently partitioned peer from being retried forever: exhaustion surfaces as ErrUnreachable (wrapping
 // ErrRankFailed), either directly or — when the heartbeat detector is
 // running — by nudging the detector, which owns the kill decision.
 
@@ -29,11 +29,14 @@ import (
 // reliability is on. cseq/cep are the (sender, epoch, seq) causal ID
 // assigned once in deliver, before the transport registers the
 // message, so retransmits and injected duplicates carry the same ID as
-// the original; cseq 0 means unstamped (no recorder attached).
+// the original; cseq 0 means unstamped (no recorder attached). at is
+// the obs-clock time the envelope entered its destination's inbox
+// (stamped by put only when a recorder is attached).
 type envelope struct {
 	seq  uint64
 	cseq uint64
 	cep  int32
+	at   time.Duration
 	data []float64
 }
 
@@ -195,12 +198,9 @@ func (tr *transport) retransmitLoop(key boxKey, op string, env envelope, ps *pen
 			return
 		}
 		if !w.partitionBlocked(key.src, key.dst) {
-			select {
-			case w.box(key) <- env:
-			default:
-				// Full mailbox: the receiver is lagging, not lossy; the
-				// next cycle retries.
-			}
+			// A full link means the receiver is lagging, not lossy; the
+			// next cycle retries.
+			w.put(key, env)
 		}
 		attempts++
 		w.addNetOp(key.src, op, func(n *NetStats, o *opNetDelta) { n.Retransmits++; o.retrans++ })
@@ -216,10 +216,12 @@ func (tr *transport) retransmitLoop(key boxKey, op string, env envelope, ps *pen
 // next in-order message; a duplicate is suppressed, and an
 // out-of-order arrival (its predecessor was dropped and is still in
 // retransmission) is parked in the link buffer for nextBuffered to
-// release in sequence. Unsequenced envelopes bypass the window
-// entirely. op names the receiving operation for the duplicate
-// counter.
-func (w *world) admitSeq(key boxKey, env envelope, op string) (envelope, bool) {
+// release in sequence. With park set even the in-order message is
+// parked: the receive that claimed it was already satisfied from the
+// buffer, so the envelope belongs to the link's next receive.
+// Unsequenced envelopes bypass the window entirely. op names the
+// receiving operation for the duplicate counter.
+func (w *world) admitSeq(key boxKey, env envelope, op string, park bool) (envelope, bool) {
 	tr := w.tr
 	if tr == nil || env.seq == 0 {
 		return env, true
@@ -236,20 +238,12 @@ func (w *world) admitSeq(key boxKey, env envelope, op string) (envelope, bool) {
 	}
 	// Ack duplicates too: the duplicate often exists because the first
 	// ack raced the retransmit timer or was cut off by a partition, and
-	// the sender needs the re-ack to stop. The ack itself is subject to
-	// the partition (reverse direction): a blocked ack leaves the
-	// message pending, and the sender keeps retransmitting until the
-	// heal lets a re-ack through.
-	if !w.partitionBlocked(key.dst, key.src) {
-		if ps := tr.pending[pendingKey{key, env.seq}]; ps != nil {
-			close(ps.ack)
-			delete(tr.pending, pendingKey{key, env.seq})
-		}
-	}
+	// the sender needs the re-ack to stop.
+	tr.ackLocked(key, env.seq)
 	deliver := false
 	switch {
 	case dup:
-	case env.seq == lk.floor:
+	case env.seq == lk.floor && !park:
 		lk.floor++
 		deliver = true
 	default:
@@ -266,9 +260,40 @@ func (w *world) admitSeq(key boxKey, env envelope, op string) (envelope, bool) {
 	return envelope{}, false
 }
 
+// ack acknowledges a sequenced envelope the moment a receive takes it
+// from the inbox — a posted receive filled by put, or a queued envelope
+// popped by take — so a nonblocking receive that is Waited long after
+// its message arrived does not keep the sender retransmitting (and
+// eventually fencing a healthy peer). admitSeq acks again at Wait,
+// which covers an ack the partition blocked here; ordering and
+// duplicate suppression stay with admitSeq.
+func (w *world) ack(key boxKey, seq uint64) {
+	tr := w.tr
+	if tr == nil || seq == 0 {
+		return
+	}
+	tr.mu.Lock()
+	tr.ackLocked(key, seq)
+	tr.mu.Unlock()
+}
+
+// ackLocked releases the sender's pending record of (key, seq). The ack
+// is subject to the partition (reverse direction): a blocked ack leaves
+// the message pending, and the sender keeps retransmitting until the
+// heal lets a re-ack through. Called with tr.mu held.
+func (tr *transport) ackLocked(key boxKey, seq uint64) {
+	if tr.w.partitionBlocked(key.dst, key.src) {
+		return
+	}
+	if ps := tr.pending[pendingKey{key, seq}]; ps != nil {
+		close(ps.ack)
+		delete(tr.pending, pendingKey{key, seq})
+	}
+}
+
 // nextBuffered releases the next in-order message if a previous arrival
 // parked it (it raced ahead of a retransmitted predecessor). Receivers
-// consult it before blocking on the mailbox.
+// consult it before blocking on their inbox.
 func (w *world) nextBuffered(key boxKey) (envelope, bool) {
 	tr := w.tr
 	if tr == nil {
